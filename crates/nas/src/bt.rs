@@ -320,12 +320,15 @@ impl NasBenchmark for Bt {
         // cold_start runs one full step (the host-side field reset touches
         // no simulated pages), so the cold phases equal the timed phases.
         let ps = self.cfg.phase_scale;
-        Some(crate::model::KernelModel::new(
-            BenchName::Bt,
-            self.state.array_layouts(),
-            self.state.step_phases(ps),
-            self.state.step_phases(ps),
-        ))
+        Some(
+            crate::model::KernelModel::new(
+                BenchName::Bt,
+                self.state.array_layouts(),
+                self.state.step_phases(ps),
+                self.state.step_phases(ps),
+            )
+            .with_shape(format!("{:?}", self.cfg)),
+        )
     }
 }
 

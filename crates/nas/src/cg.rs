@@ -587,20 +587,23 @@ impl NasBenchmark for Cg {
 
         // cold_start runs one full outer iteration; its host-side vector
         // refills touch no simulated pages.
-        Some(KernelModel::new(
-            BenchName::Cg,
-            vec![
-                self.a.layout(),
-                self.col.layout(),
-                self.x.layout(),
-                self.z.layout(),
-                self.p.layout(),
-                self.q.layout(),
-                self.r.layout(),
-            ],
-            outer(),
-            outer(),
-        ))
+        Some(
+            KernelModel::new(
+                BenchName::Cg,
+                vec![
+                    self.a.layout(),
+                    self.col.layout(),
+                    self.x.layout(),
+                    self.z.layout(),
+                    self.p.layout(),
+                    self.q.layout(),
+                    self.r.layout(),
+                ],
+                outer(),
+                outer(),
+            )
+            .with_shape(format!("{:?}", self.cfg)),
+        )
     }
 }
 

@@ -416,12 +416,15 @@ impl NasBenchmark for Ft {
                 .collect(),
         )];
         cold.extend(self.pipeline_phases());
-        Some(crate::model::KernelModel::new(
-            BenchName::Ft,
-            vec![self.u0.layout(), self.u1.layout()],
-            cold,
-            self.pipeline_phases(),
-        ))
+        Some(
+            crate::model::KernelModel::new(
+                BenchName::Ft,
+                vec![self.u0.layout(), self.u1.layout()],
+                cold,
+                self.pipeline_phases(),
+            )
+            .with_shape(format!("{:?}", self.cfg)),
+        )
     }
 }
 

@@ -229,23 +229,22 @@ impl BenchRun {
             return;
         }
         self.started = true;
-        let model = if self.fastpath {
-            self.bench.access_model()
+        let proofs = if self.fastpath {
+            let _hp = hostprof::span("nas.proof");
+            self.bench
+                .access_model()
+                .map(|model| crate::proof::kernel_proofs(&model, self.rt.threads()))
         } else {
             None
         };
         // Arm the fast path for the cold start too: cold and timed phases
         // share loop labels, so cold recordings seed the iteration memos.
-        if let Some(model) = &model {
-            self.rt
-                .install_fastpath(crate::proof::derive_proofs(model.cold(), self.rt.threads()));
+        if let Some(proofs) = &proofs {
+            self.rt.install_fastpath(proofs.cold.clone());
         }
         self.bench.cold_start(&mut self.rt);
-        if let Some(model) = &model {
-            self.rt.install_fastpath(crate::proof::derive_proofs(
-                model.iteration(),
-                self.rt.threads(),
-            ));
+        if let Some(proofs) = proofs {
+            self.rt.install_fastpath(proofs.iteration);
         }
         if let Some(engine) = &self.upm {
             // Reference monitoring starts with the timed run (upmlib reads
@@ -342,14 +341,19 @@ impl BenchRun {
                 bench.iterate(rt, extra);
                 engine.migrate_memory(rt.machine_mut());
             }
-            // Figure 3 protocol, second iteration: record phases.
+            // Figure 3 protocol, second iteration: record phases. Kernels
+            // without phase points (CG, MG, FT) record fewer than the two
+            // snapshots one phase needs; they get no replay lists, so the
+            // later iterations' replay and undo move nothing.
             (Some(engine), true, 1) => {
                 let mut hook = |rt: &mut Runtime, pp: PhasePoint| {
                     engine.record(rt.machine());
                     extra(rt, pp);
                 };
                 bench.iterate(rt, &mut hook);
-                engine.compare_counters();
+                if engine.recordings() >= 2 {
+                    engine.compare_counters();
+                }
             }
             // Figure 3 protocol, later iterations: replay + undo.
             (Some(engine), true, _) => {

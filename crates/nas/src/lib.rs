@@ -45,4 +45,4 @@ pub mod sp;
 pub use common::{BenchName, NasBenchmark, PhasePoint, Scale, Verification};
 pub use harness::{run_benchmark, BenchRun, EngineMode, RunConfig, RunResult};
 pub use model::{KernelModel, LoopKind, LoopModel, PhaseModel};
-pub use proof::{derive_loop_proof, derive_proofs};
+pub use proof::{derive_loop_proof, derive_proofs, kernel_proofs, KernelProofs, ProofMemo};

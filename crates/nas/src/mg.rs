@@ -668,12 +668,10 @@ impl NasBenchmark for Mg {
             arrays.push(r.layout());
         }
         arrays.push(self.v.layout());
-        Some(crate::model::KernelModel::new(
-            BenchName::Mg,
-            arrays,
-            cold,
-            self.cycle_phases(),
-        ))
+        Some(
+            crate::model::KernelModel::new(BenchName::Mg, arrays, cold, self.cycle_phases())
+                .with_shape(format!("{:?}", self.cfg)),
+        )
     }
 }
 

@@ -183,6 +183,7 @@ impl PhaseModel {
 #[derive(Debug)]
 pub struct KernelModel {
     bench: BenchName,
+    shape: String,
     arrays: Vec<ArrayLayout>,
     cold: Vec<PhaseModel>,
     iteration: Vec<PhaseModel>,
@@ -198,15 +199,30 @@ impl KernelModel {
     ) -> Self {
         Self {
             bench,
+            shape: String::new(),
             arrays,
             cold,
             iteration,
         }
     }
 
+    /// Tag the model with its shape: a string that, together with the
+    /// bench and the array layouts, determines every loop's access stream
+    /// (the kernels use the `{:?}` of their config). The proof memo keys on
+    /// it; an untagged model is never memoized.
+    pub fn with_shape(mut self, shape: String) -> Self {
+        self.shape = shape;
+        self
+    }
+
     /// Which benchmark this models.
     pub fn bench(&self) -> BenchName {
         self.bench
+    }
+
+    /// The shape tag (empty when untagged; see [`KernelModel::with_shape`]).
+    pub fn shape(&self) -> &str {
+        &self.shape
     }
 
     /// Layouts of the shared simulated arrays (the `register_hot` set).

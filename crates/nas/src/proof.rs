@@ -20,13 +20,19 @@
 //! path. The proof is re-validated at runtime: recording diffs the real
 //! region against the claim and discards (loudly, in debug builds) on any
 //! disagreement — see `ccnuma::fastpath`.
+//!
+//! A proof depends only on the kernel's access model and the team size,
+//! never on placement or engine, so [`kernel_proofs`] derives each kernel
+//! shape's proofs once per process and shares them (see [`ProofMemo`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ccnuma::fastpath::PhaseProof;
-use ccnuma::{AccessKind, LINE_SHIFT};
+use ccnuma::{AccessKind, ArrayLayout, LINE_SHIFT};
 
-use crate::model::{LoopKind, LoopModel, PhaseModel};
+use crate::common::BenchName;
+use crate::model::{KernelModel, LoopKind, LoopModel, PhaseModel};
 
 /// Derive the proof for one loop, or `None` if it is ineligible.
 ///
@@ -98,6 +104,116 @@ pub fn derive_proofs(phases: &[PhaseModel], threads: usize) -> Vec<Option<PhaseP
             })
         })
         .collect()
+}
+
+/// A kernel's cold-start and per-iteration proof sequences, shared by
+/// every run of the same kernel shape (cloning copies two pointers).
+#[derive(Debug, Clone)]
+pub struct KernelProofs {
+    /// Proofs of the cold-start regions, in program order.
+    pub cold: Arc<[Option<PhaseProof>]>,
+    /// Proofs of one timed iteration's regions, in program order.
+    pub iteration: Arc<[Option<PhaseProof>]>,
+}
+
+/// Entries the process-wide memo keeps before evicting the oldest: far
+/// above the 5 kernels x 3 scales x a few team sizes a sweep or a resident
+/// service sees, yet bounded.
+pub const PROOF_MEMO_CAPACITY: usize = 64;
+
+/// What a kernel's proofs are a function of: the model's identity (bench
+/// and shape tag), where its arrays sit, and the team size. The layouts
+/// matter because proofs name absolute line addresses — the same kernel
+/// allocated after an extra array has shifted bases and different proofs.
+#[derive(Debug, PartialEq)]
+struct MemoKey {
+    bench: BenchName,
+    shape: String,
+    arrays: Vec<ArrayLayout>,
+    threads: usize,
+}
+
+/// A bounded, insertion-ordered proof memo. [`kernel_proofs`] uses one
+/// process-wide instance; tests build their own.
+#[derive(Debug, Default)]
+pub struct ProofMemo {
+    entries: Mutex<VecDeque<(MemoKey, KernelProofs)>>,
+}
+
+impl ProofMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The proofs of `model` at team size `threads`, derived on the first
+    /// request for its key and shared afterwards. Derivation runs outside
+    /// the lock; when two callers race on a cold key the first insert wins
+    /// (both derived the same proofs). Models without a shape tag cannot
+    /// be keyed safely and are derived afresh every time.
+    pub fn get_or_derive(&self, model: &KernelModel, threads: usize) -> KernelProofs {
+        if model.shape().is_empty() {
+            return Self::derive(model, threads);
+        }
+        let key = MemoKey {
+            bench: model.bench(),
+            shape: model.shape().to_string(),
+            arrays: model.arrays().to_vec(),
+            threads,
+        };
+        if let Some(hit) = self.find(&key) {
+            return hit;
+        }
+        let fresh = Self::derive(model, threads);
+        let mut entries = self.lock();
+        if let Some((_, first)) = entries.iter().find(|(k, _)| *k == key) {
+            return first.clone();
+        }
+        if entries.len() >= PROOF_MEMO_CAPACITY {
+            entries.pop_front();
+        }
+        entries.push_back((key, fresh.clone()));
+        fresh
+    }
+
+    /// Entries currently held.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Whether the memo holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn find(&self, key: &MemoKey) -> Option<KernelProofs> {
+        self.lock()
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, p)| p.clone())
+    }
+
+    fn derive(model: &KernelModel, threads: usize) -> KernelProofs {
+        let _hp = hostprof::span("nas.proof.derive");
+        KernelProofs {
+            cold: derive_proofs(model.cold(), threads).into(),
+            iteration: derive_proofs(model.iteration(), threads).into(),
+        }
+    }
+
+    /// A panic elsewhere while the lock was held cannot leave an entry half
+    /// written (pushes and pops are single calls), so poison is ignored.
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(MemoKey, KernelProofs)>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// [`ProofMemo::get_or_derive`] on the process-wide memo: what
+/// `BenchRun` arms the fast path with.
+pub fn kernel_proofs(model: &KernelModel, threads: usize) -> KernelProofs {
+    static MEMO: OnceLock<ProofMemo> = OnceLock::new();
+    MEMO.get_or_init(ProofMemo::new)
+        .get_or_derive(model, threads)
 }
 
 #[cfg(test)]
@@ -202,5 +318,45 @@ mod tests {
         assert_eq!(proofs.len(), 2);
         assert_eq!(proofs[0].as_ref().unwrap().label, "ph/a");
         assert!(proofs[1].is_none(), "dynamic loop has no proof");
+    }
+
+    fn stripe_model(shape: &str) -> KernelModel {
+        let phase = PhaseModel::new(
+            "ph",
+            vec![LoopModel::parallel("a", 8, Schedule::Static, |i, emit| {
+                emit(i as u64 * LINE, AccessKind::Write)
+            })],
+        );
+        KernelModel::new(BenchName::Cg, vec![], vec![], vec![phase]).with_shape(shape.into())
+    }
+
+    #[test]
+    fn memo_shares_hits_and_evicts_oldest_past_capacity() {
+        let memo = ProofMemo::new();
+        let first = memo.get_or_derive(&stripe_model("s0"), 4);
+        let hit = memo.get_or_derive(&stripe_model("s0"), 4);
+        assert!(Arc::ptr_eq(&first.iteration, &hit.iteration));
+        // A different team size is a different key.
+        let other = memo.get_or_derive(&stripe_model("s0"), 2);
+        assert!(!Arc::ptr_eq(&first.iteration, &other.iteration));
+        for i in 1..PROOF_MEMO_CAPACITY {
+            memo.get_or_derive(&stripe_model(&format!("s{i}")), 4);
+        }
+        assert_eq!(memo.len(), PROOF_MEMO_CAPACITY, "bounded");
+        // ("s0", 4) was the oldest entry and is gone; ("s0", 2) survived.
+        let kept = memo.get_or_derive(&stripe_model("s0"), 2);
+        assert!(Arc::ptr_eq(&other.iteration, &kept.iteration));
+        let again = memo.get_or_derive(&stripe_model("s0"), 4);
+        assert!(!Arc::ptr_eq(&first.iteration, &again.iteration));
+        assert_eq!(first.iteration[..], again.iteration[..]);
+    }
+
+    #[test]
+    fn untagged_models_bypass_the_memo() {
+        let memo = ProofMemo::new();
+        let p = memo.get_or_derive(&stripe_model(""), 4);
+        assert!(memo.is_empty());
+        assert_eq!(p.iteration.len(), 1);
+        assert!(p.cold.is_empty());
     }
 }

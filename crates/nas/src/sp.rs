@@ -251,12 +251,15 @@ impl NasBenchmark for Sp {
         // as BT's block solver, so the shared ADI sweep models apply; the
         // host-side reset in cold_start touches no simulated pages.
         let ps = self.cfg.phase_scale;
-        Some(crate::model::KernelModel::new(
-            BenchName::Sp,
-            self.state.array_layouts(),
-            self.state.step_phases(ps),
-            self.state.step_phases(ps),
-        ))
+        Some(
+            crate::model::KernelModel::new(
+                BenchName::Sp,
+                self.state.array_layouts(),
+                self.state.step_phases(ps),
+                self.state.step_phases(ps),
+            )
+            .with_shape(format!("{:?}", self.cfg)),
+        )
     }
 }
 

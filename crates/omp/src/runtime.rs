@@ -1,5 +1,7 @@
 //! The fork/join runtime: parallel regions, worksharing, reductions.
 
+use std::sync::Arc;
+
 use crate::schedule::Schedule;
 use ccnuma::contention::RegionTiming;
 use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, PhaseProof, RecordToken};
@@ -155,10 +157,11 @@ pub struct Runtime {
 /// (the harness resets the cursor at every iteration boundary); `None`
 /// entries mean "this region has no proof, run it exactly". The engine and
 /// its memo pools survive re-installation so cold-start recordings seed the
-/// timed iterations.
+/// timed iterations. The proofs are shared, not owned: every run of the
+/// same kernel shape installs the same slice (see `nas::kernel_proofs`).
 struct FastpathState {
     engine: FastpathEngine,
-    proofs: Vec<Option<PhaseProof>>,
+    proofs: Arc<[Option<PhaseProof>]>,
     cursor: usize,
 }
 
@@ -206,8 +209,9 @@ impl Runtime {
     /// [`Runtime::fastpath_reset_cursor`]). An existing engine — and its
     /// recorded memos — is kept, so re-installing a different sequence (e.g.
     /// cold-start proofs, then per-iteration proofs) reuses recordings of
-    /// phases with the same label.
-    pub fn install_fastpath(&mut self, proofs: Vec<Option<PhaseProof>>) {
+    /// phases with the same label. Takes a `Vec` or a shared slice.
+    pub fn install_fastpath(&mut self, proofs: impl Into<Arc<[Option<PhaseProof>]>>) {
+        let proofs = proofs.into();
         match self.fastpath.as_mut() {
             Some(fp) => {
                 fp.proofs = proofs;

@@ -12,6 +12,8 @@
 //! tests here force it per-run via `BenchRun::set_fastpath` /
 //! `run_one_fastpath` so they stay independent of the ambient environment.
 
+use std::sync::Arc;
+
 use nas::{BenchName, BenchRun, EngineMode, RunConfig, Scale};
 use upmlib::UpmOptions;
 use vmm::{KernelMigrationConfig, PlacementScheme};
@@ -218,4 +220,116 @@ fn lint_findings_identical_either_way() {
         .to_json()
         .to_string();
     assert_eq!(a, b);
+}
+
+/// Allocate `bench` at `scale` on a fresh 16-CPU runtime — after `pad`
+/// extra elements of an unrelated array, which shifts every base — and
+/// return its access model.
+fn model_of(bench: BenchName, scale: Scale, pad: usize) -> nas::KernelModel {
+    use ccnuma::{Machine, MachineConfig, SimArray};
+    use nas::NasBenchmark;
+    let mut rt = omp::Runtime::new(Machine::new(MachineConfig::origin2000_16p_scaled()));
+    if pad > 0 {
+        let _ = SimArray::new(rt.machine_mut(), "pad", pad, 0.0f64);
+    }
+    match bench {
+        BenchName::Bt => nas::bt::Bt::new(&mut rt, scale).access_model(),
+        BenchName::Sp => nas::sp::Sp::new(&mut rt, scale).access_model(),
+        BenchName::Cg => nas::cg::Cg::new(&mut rt, scale).access_model(),
+        BenchName::Mg => nas::mg::Mg::new(&mut rt, scale).access_model(),
+        BenchName::Ft => nas::ft::Ft::new(&mut rt, scale).access_model(),
+    }
+    .expect("every bench ships an access model")
+}
+
+const ALL_BENCHES: [BenchName; 5] = [
+    BenchName::Bt,
+    BenchName::Sp,
+    BenchName::Cg,
+    BenchName::Mg,
+    BenchName::Ft,
+];
+
+/// For every kernel at `scale` and teams {1, 4, 16}: the process-wide memo
+/// hands out exactly what a fresh `derive_proofs` computes, and a second
+/// lookup shares the entry instead of copying it.
+fn memo_matches_fresh_derivation(scale: Scale) {
+    for bench in ALL_BENCHES {
+        let model = model_of(bench, scale, 0);
+        for threads in [1, 4, 16] {
+            let what = format!("{} {} x{threads}", bench.label(), scale.label());
+            let memo = nas::kernel_proofs(&model, threads);
+            let cold = nas::derive_proofs(model.cold(), threads);
+            let iteration = nas::derive_proofs(model.iteration(), threads);
+            assert_eq!(&memo.cold[..], &cold[..], "{what}: cold proofs");
+            assert_eq!(
+                &memo.iteration[..],
+                &iteration[..],
+                "{what}: iteration proofs"
+            );
+            let again = nas::kernel_proofs(&model, threads);
+            assert!(Arc::ptr_eq(&memo.cold, &again.cold), "{what}: cold shared");
+            assert!(
+                Arc::ptr_eq(&memo.iteration, &again.iteration),
+                "{what}: iteration shared"
+            );
+        }
+    }
+}
+
+#[test]
+fn memoized_proofs_equal_fresh_derivation_tiny() {
+    memo_matches_fresh_derivation(Scale::Tiny);
+}
+
+/// The `small` models take about four minutes to derive twice over in an
+/// unoptimized build, so this case runs in release builds only (the CI
+/// `fastpath` job runs this file with `--release`).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier: slow in debug builds")]
+fn memoized_proofs_equal_fresh_derivation_small() {
+    memo_matches_fresh_derivation(Scale::Small);
+}
+
+#[test]
+fn shifted_allocation_gets_its_own_memo_entry() {
+    let memo = nas::ProofMemo::new();
+    let base = model_of(BenchName::Cg, Scale::Tiny, 0);
+    // 1 MB of padding: more than a page, so every array base moves.
+    let shifted = model_of(BenchName::Cg, Scale::Tiny, 1 << 17);
+    assert_eq!(base.shape(), shifted.shape(), "same kernel shape");
+    assert_ne!(base.arrays(), shifted.arrays(), "bases moved");
+    let a = memo.get_or_derive(&base, 16);
+    let b = memo.get_or_derive(&shifted, 16);
+    assert_eq!(memo.len(), 2, "one entry per layout");
+    assert!(!Arc::ptr_eq(&a.iteration, &b.iteration));
+    assert_ne!(&a.iteration[..], &b.iteration[..], "proofs name the lines");
+    assert_eq!(
+        &b.iteration[..],
+        &nas::derive_proofs(shifted.iteration(), 16)[..],
+        "the shifted entry is the shifted model's own proofs"
+    );
+    assert_eq!(&b.cold[..], &nas::derive_proofs(shifted.cold(), 16)[..]);
+}
+
+#[test]
+fn racing_lookups_on_a_cold_key_agree() {
+    let memo = Arc::new(nas::ProofMemo::new());
+    let gate = Arc::new(std::sync::Barrier::new(2));
+    let racers: Vec<_> = (0..2)
+        .map(|_| {
+            let (memo, gate) = (memo.clone(), gate.clone());
+            std::thread::spawn(move || {
+                let model = model_of(BenchName::Mg, Scale::Tiny, 0);
+                gate.wait();
+                let p = memo.get_or_derive(&model, 16);
+                (p.cold.to_vec(), p.iteration.to_vec())
+            })
+        })
+        .collect();
+    let got: Vec<_> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+    assert_eq!(got[0], got[1], "both racers see the same proofs");
+    assert_eq!(memo.len(), 1, "the losing insert is dropped");
+    let model = model_of(BenchName::Mg, Scale::Tiny, 0);
+    assert_eq!(got[0].1, nas::derive_proofs(model.iteration(), 16));
 }

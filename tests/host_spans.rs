@@ -152,6 +152,47 @@ fn fastpath_cg_spends_less_ccnuma_self_time_than_exact() {
     );
 }
 
+/// Proofs are derived once per kernel shape per process: of two
+/// back-to-back CG runs, only the first opens a `nas.proof.derive` span
+/// under its `nas.proof` lookup. The matrix seed is one no other test
+/// uses, so the memo key is cold when the session starts.
+#[test]
+fn second_run_of_a_kernel_reuses_its_proofs() {
+    let session = hostprof::start();
+    {
+        let _root = hostprof::span("hsx-proof.root");
+        for _ in 0..2 {
+            let cfg = nas::cg::CgConfig {
+                seed: 0x5eed_0012,
+                ..nas::cg::CgConfig::for_scale(nas::Scale::Tiny)
+            };
+            let r = nas::harness::run_benchmark_fastpath(
+                |rt| nas::cg::Cg::with_config(rt, cfg),
+                &nas::RunConfig::paper_default(),
+                true,
+            );
+            assert!(r.verification.passed);
+        }
+    }
+    let report = session.finish();
+    let mut roots = Vec::new();
+    for thread in &report.threads {
+        find_all(&thread.roots, "hsx-proof.root", 0, &mut roots);
+    }
+    assert_eq!(roots.len(), 1, "one test root");
+    let calls = |name: &str| {
+        let mut hits = Vec::new();
+        find_all(&roots[0].0.children, name, 1, &mut hits);
+        hits.iter().map(|(n, _)| n.calls).sum::<u64>()
+    };
+    assert_eq!(calls("nas.proof"), 2, "one proof lookup per run");
+    assert_eq!(
+        calls("nas.proof.derive"),
+        1,
+        "derived on the first run only"
+    );
+}
+
 /// The ISSUE's CI guard: with no session open, an instrumented hot path
 /// costs one relaxed atomic load per span — indistinguishable from noise.
 /// Timing asserts are inherently flaky on shared runners, so the check

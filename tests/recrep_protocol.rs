@@ -195,3 +195,27 @@ fn distribution_then_recording_compose() {
         .collect();
     assert_eq!(after, distributed);
 }
+
+#[test]
+fn recrep_on_kernels_without_phase_points_completes() {
+    // CG, MG and FT never call the phase hook, so the recording iteration
+    // takes fewer than the two snapshots one phase needs. The run must
+    // still complete and verify, with replay and undo left idle.
+    for bench in [nas::BenchName::Cg, nas::BenchName::Mg, nas::BenchName::Ft] {
+        let cfg = nas::RunConfig {
+            engine: nas::EngineMode::RecRep(UpmOptions::default()),
+            ..nas::RunConfig::paper_default()
+        };
+        let r = xp::run_one(bench, nas::Scale::Tiny, &cfg);
+        let what = bench.label();
+        assert!(
+            r.per_iter_secs.len() >= 3,
+            "{what}: reaches the replay iterations"
+        );
+        assert!(r.verification.passed, "{what}: {:?}", r.verification);
+        let upm = r.upm.expect("record-replay attaches UPMlib");
+        assert_eq!(upm.replay_migrations, 0, "{what}: nothing replayed");
+        assert_eq!(upm.undo_migrations, 0, "{what}: nothing undone");
+        assert_eq!(r.recrep_overhead_secs, 0.0, "{what}: no replay overhead");
+    }
+}
