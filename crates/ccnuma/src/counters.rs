@@ -16,21 +16,54 @@
 //! simulator reproduces that split: [`RefCounters::record`] drives the
 //! 11-bit hardware counter and spills full blocks into a 64-bit extension;
 //! [`RefCounters::get`] returns the combined (kernel-visible) value.
+//!
+//! The machine has one counter set per frame, but a run touches a small
+//! share of its frames. Counters therefore live in banks of 64 frames
+//! that are allocated on the first access recorded into them; a frame in
+//! an unallocated bank reads as all zeros, which is exactly the state of a
+//! counter nobody has incremented.
 
 use crate::topology::NodeId;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Saturation value of the Origin2000's 11-bit hardware counters.
 pub const COUNTER_MAX: u16 = (1 << 11) - 1;
 
-/// Counter banks for every frame in the machine, one counter per node.
+/// Frames per lazily allocated counter bank.
+const BANK_FRAMES: usize = 64;
+
+/// The counters of [`BANK_FRAMES`] consecutive frames, `[frame][node]`.
+#[derive(Debug)]
+struct Bank {
+    /// 11-bit hardware counters.
+    hw: Box<[AtomicU16]>,
+    /// Kernel-extended counters: completed 2047-blocks spilled on overflow.
+    extended: Box<[AtomicU64]>,
+}
+
+impl Bank {
+    fn new(nodes: usize) -> Self {
+        let slots = BANK_FRAMES * nodes;
+        Self {
+            hw: (0..slots).map(|_| AtomicU16::new(0)).collect(),
+            extended: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    #[inline(always)]
+    fn get(&self, slot: usize) -> u64 {
+        self.extended[slot].load(Ordering::Relaxed) + self.hw[slot].load(Ordering::Relaxed) as u64
+    }
+}
+
+/// Counter sets for every frame in the machine, one counter per node.
 #[derive(Debug)]
 pub struct RefCounters {
+    frames: usize,
     nodes: usize,
-    /// 11-bit hardware counters, flat `[frame][node]` layout.
-    hw: Vec<AtomicU16>,
-    /// Kernel-extended counters: completed 2047-blocks spilled on overflow.
-    extended: Vec<AtomicU64>,
+    /// One bank per [`BANK_FRAMES`] frames, allocated on first write.
+    banks: Box<[OnceLock<Bank>]>,
     /// Total accesses ever recorded (monotone; unaffected by per-frame
     /// resets/decay). The phase fast path validates a recorded region's
     /// aggregate counter traffic against this in O(1).
@@ -38,16 +71,15 @@ pub struct RefCounters {
 }
 
 impl RefCounters {
-    /// Counters for `frames` frames on a machine with `nodes` nodes.
+    /// Counters for `frames` frames on a machine with `nodes` nodes. No
+    /// bank is allocated until an access is recorded into it.
     pub fn new(frames: usize, nodes: usize) -> Self {
-        let mut hw = Vec::with_capacity(frames * nodes);
-        hw.resize_with(frames * nodes, || AtomicU16::new(0));
-        let mut extended = Vec::with_capacity(frames * nodes);
-        extended.resize_with(frames * nodes, || AtomicU64::new(0));
         Self {
+            frames,
             nodes,
-            hw,
-            extended,
+            banks: (0..frames.div_ceil(BANK_FRAMES))
+                .map(|_| OnceLock::new())
+                .collect(),
             recorded: AtomicU64::new(0),
         }
     }
@@ -60,10 +92,25 @@ impl RefCounters {
         self.recorded.load(Ordering::Relaxed)
     }
 
+    /// The bank holding `frame`, if any access was ever recorded into it.
     #[inline(always)]
-    fn idx(&self, frame: usize, node: NodeId) -> usize {
+    fn bank(&self, frame: usize) -> Option<&Bank> {
+        debug_assert!(frame < self.frames);
+        self.banks[frame / BANK_FRAMES].get()
+    }
+
+    /// The bank holding `frame`, allocated on first use.
+    #[inline(always)]
+    fn bank_or_alloc(&self, frame: usize) -> &Bank {
+        debug_assert!(frame < self.frames);
+        self.banks[frame / BANK_FRAMES].get_or_init(|| Bank::new(self.nodes))
+    }
+
+    /// Index of `(frame, node)` within its bank.
+    #[inline(always)]
+    fn slot(&self, frame: usize, node: NodeId) -> usize {
         debug_assert!(node < self.nodes);
-        frame * self.nodes + node
+        frame % BANK_FRAMES * self.nodes + node
     }
 
     /// Record one memory access to `frame` from `node`. On hardware-counter
@@ -72,8 +119,9 @@ impl RefCounters {
     /// triggered an overflow spill (the observability layer traces these).
     #[inline(always)]
     pub fn record(&self, frame: usize, node: NodeId) -> bool {
-        let i = self.idx(frame, node);
-        let hw = &self.hw[i];
+        let bank = self.bank_or_alloc(frame);
+        let i = self.slot(frame, node);
+        let hw = &bank.hw[i];
         // Relaxed is fine: simulated CPUs run sequentially.
         self.recorded
             .store(self.recorded.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
@@ -83,7 +131,7 @@ impl RefCounters {
             // access) into the kernel's extended counter and restart the
             // hardware counter.
             hw.store(0, Ordering::Relaxed);
-            self.extended[i].fetch_add(cur as u64 + 1, Ordering::Relaxed);
+            bank.extended[i].fetch_add(cur as u64 + 1, Ordering::Relaxed);
             true
         } else {
             hw.store(cur + 1, Ordering::Relaxed);
@@ -106,26 +154,29 @@ impl RefCounters {
             self.recorded.load(Ordering::Relaxed) + count,
             Ordering::Relaxed,
         );
-        let i = self.idx(frame, node);
+        let bank = self.bank_or_alloc(frame);
+        let i = self.slot(frame, node);
         let block = COUNTER_MAX as u64 + 1;
-        let total = self.hw[i].load(Ordering::Relaxed) as u64 + count;
-        self.hw[i].store((total % block) as u16, Ordering::Relaxed);
+        let total = bank.hw[i].load(Ordering::Relaxed) as u64 + count;
+        bank.hw[i].store((total % block) as u16, Ordering::Relaxed);
         let blocks = total / block;
         if blocks > 0 {
-            self.extended[i].fetch_add(blocks * block, Ordering::Relaxed);
+            bank.extended[i].fetch_add(blocks * block, Ordering::Relaxed);
         }
     }
 
     /// Kernel-visible count: extended blocks plus the live hardware counter.
     #[inline]
     pub fn get(&self, frame: usize, node: NodeId) -> u64 {
-        let i = self.idx(frame, node);
-        self.extended[i].load(Ordering::Relaxed) + self.hw[i].load(Ordering::Relaxed) as u64
+        self.bank(frame)
+            .map_or(0, |bank| bank.get(self.slot(frame, node)))
     }
 
     /// Raw 11-bit hardware counter value (diagnostics/tests).
     pub fn hw_value(&self, frame: usize, node: NodeId) -> u16 {
-        self.hw[self.idx(frame, node)].load(Ordering::Relaxed)
+        self.bank(frame).map_or(0, |bank| {
+            bank.hw[self.slot(frame, node)].load(Ordering::Relaxed)
+        })
     }
 
     /// Snapshot all per-node counts of a frame (kernel-visible values).
@@ -136,11 +187,13 @@ impl RefCounters {
     /// Zero the counters of one frame (done when a frame is freed or
     /// reallocated — a migrated page lands on a fresh frame whose counters
     /// start from zero — and by user-level observation-window resets).
+    /// A frame in an unallocated bank is already zero.
     pub fn reset_frame(&self, frame: usize) {
-        for n in 0..self.nodes {
-            let i = self.idx(frame, n);
-            self.hw[i].store(0, Ordering::Relaxed);
-            self.extended[i].store(0, Ordering::Relaxed);
+        let Some(bank) = self.bank(frame) else { return };
+        let base = self.slot(frame, 0);
+        for i in base..base + self.nodes {
+            bank.hw[i].store(0, Ordering::Relaxed);
+            bank.extended[i].store(0, Ordering::Relaxed);
         }
     }
 
@@ -148,16 +201,17 @@ impl RefCounters {
     /// migration daemon, which keeps the comparison windowed toward recent
     /// behaviour instead of accumulating forever.
     pub fn decay_frame(&self, frame: usize) {
-        for n in 0..self.nodes {
-            let i = self.idx(frame, n);
-            let hw = &self.hw[i];
+        let Some(bank) = self.bank(frame) else { return };
+        let base = self.slot(frame, 0);
+        for i in base..base + self.nodes {
+            let hw = &bank.hw[i];
             hw.store(hw.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
-            let ext = &self.extended[i];
+            let ext = &bank.extended[i];
             ext.store(ext.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
         }
     }
 
-    /// Number of nodes per counter bank.
+    /// Number of nodes per counter set.
     pub fn nodes(&self) -> usize {
         self.nodes
     }
@@ -167,20 +221,30 @@ impl RefCounters {
     /// the paper consumes. Ties between remote nodes break toward the lower
     /// node id, deterministically.
     pub fn competitive_view(&self, frame: usize, home: NodeId) -> (u64, u64, NodeId) {
-        let local = self.get(frame, home);
+        let Some(bank) = self.bank(frame) else {
+            return (0, 0, home);
+        };
+        let base = self.slot(frame, 0);
+        let local = bank.get(base + home);
         let mut best = 0u64;
         let mut best_node = home;
         for n in 0..self.nodes {
             if n == home {
                 continue;
             }
-            let c = self.get(frame, n);
+            let c = bank.get(base + n);
             if c > best {
                 best = c;
                 best_node = n;
             }
         }
         (local, best, best_node)
+    }
+
+    /// Banks allocated so far.
+    #[cfg(test)]
+    fn banks_allocated(&self) -> usize {
+        self.banks.iter().filter(|b| b.get().is_some()).count()
     }
 }
 
@@ -387,5 +451,50 @@ mod tests {
         let after = c.get(0, 0);
         assert!(after <= before / 2 + 1, "decay {before} -> {after}");
         assert!(after >= before / 2 - 1);
+    }
+
+    #[test]
+    fn a_new_machine_allocates_no_bank() {
+        // The paper's Origin2000: 8 nodes x 64 MB of 16 KB frames.
+        let c = RefCounters::new(32768, 8);
+        assert_eq!(c.banks_allocated(), 0);
+        assert_eq!(c.get(32767, 7), 0);
+        assert_eq!(c.snapshot(100), vec![0; 8]);
+        assert_eq!(c.competitive_view(100, 3), (0, 0, 3));
+        assert_eq!(c.banks_allocated(), 0, "reads allocate nothing");
+    }
+
+    #[test]
+    fn reset_and_decay_of_an_untouched_frame_allocate_nothing() {
+        let c = RefCounters::new(32768, 8);
+        c.reset_frame(5000);
+        c.decay_frame(5000);
+        c.bulk_add(5000, 2, 0);
+        assert_eq!(c.banks_allocated(), 0);
+        assert_eq!(c.get(5000, 2), 0);
+        assert_eq!(c.total_recorded(), 0);
+    }
+
+    #[test]
+    fn records_either_side_of_a_bank_boundary_stay_apart() {
+        let last = BANK_FRAMES - 1;
+        let c = RefCounters::new(4 * BANK_FRAMES, 8);
+        c.record(last, 6);
+        assert_eq!(c.banks_allocated(), 1);
+        c.record(last + 1, 6);
+        c.bulk_add(last + 1, 6, 3000);
+        assert_eq!(c.banks_allocated(), 2);
+        assert_eq!(c.get(last, 6), 1);
+        assert_eq!(c.get(last + 1, 6), 3001);
+        assert_eq!(c.hw_value(last + 1, 6), (3001 % 2048) as u16);
+        assert_eq!(c.get(last, 7), 0);
+        assert_eq!(c.get(last + 1, 5), 0);
+        c.reset_frame(last);
+        assert_eq!(c.get(last, 6), 0);
+        assert_eq!(c.get(last + 1, 6), 3001);
+        c.decay_frame(last + 1);
+        assert_eq!(c.get(last + 1, 6), 1500);
+        assert_eq!(c.total_recorded(), 3002);
+        assert_eq!(c.banks_allocated(), 2);
     }
 }

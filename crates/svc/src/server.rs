@@ -19,6 +19,15 @@
 //! and the loser unblocks the moment the result exists (not when the
 //! owner's connection gets around to reporting it).
 //!
+//! Connections are served one thread each. The accept loop blocks; a stop
+//! (the `shutdown` op or [`Server::stop`]) raises a flag and wakes it with
+//! a connection to the listener's own address. On the way out the loop
+//! shuts down the read half of every open connection, so idle handlers see
+//! end-of-stream at once while in-flight batches still stream their
+//! results. A write timeout keeps a client that stops reading from pinning
+//! its thread (and the shutdown join), and request frames longer than
+//! [`MAX_FRAME_BYTES`] are refused with an `error` event and a close.
+//!
 //! The compute function is opaque to this crate: the `xp` binary binds it
 //! to spec reconstruction + `run_one`, including the config-fingerprint
 //! check (a spec whose fingerprint does not match the server's own
@@ -31,12 +40,22 @@ use crate::telemetry::{RequestRecord, Telemetry, TraceCtx};
 use exec::{ResidentJob, ResidentPool};
 use obs::json::Value;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Longest request frame (one JSONL line, newline excluded) the server
+/// reads. The largest frame the `xp` client sends is one `run` batch of a
+/// whole experiment plan; over `xp client all --scale tiny` that is
+/// 13,189 bytes (about 260 bytes per cell). The cap leaves a ~20x margin.
+pub const MAX_FRAME_BYTES: usize = 256 * 1024;
+
+/// How long a write to a client may block before the connection is
+/// dropped: a client that stops reading must not pin its thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The server's cell evaluator: spec in, result payload (or a refusal
 /// message) out. Must be pure per the determinism guarantee.
@@ -80,6 +99,9 @@ struct Shared {
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
     code_version: String,
     stop: AtomicBool,
+    /// Where a stop connects to wake the blocking accept: the bound
+    /// address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     started: Instant,
     telemetry: Telemetry,
     /// Cells whose compute resolved to an error — panics converted by the
@@ -107,7 +129,13 @@ impl Server {
         code_version: &str,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -117,6 +145,7 @@ impl Server {
                 inflight: Mutex::new(HashMap::new()),
                 code_version: code_version.to_string(),
                 stop: AtomicBool::new(false),
+                wake_addr,
                 started: Instant::now(),
                 telemetry: Telemetry::new(),
                 runs_failed: AtomicU64::new(0),
@@ -129,30 +158,50 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serve until a `shutdown` request arrives. Connection threads are
-    /// joined before returning, so in-flight batches complete.
+    /// Serve until a `shutdown` request arrives. Open connections stop
+    /// reading and their threads are joined before returning, so in-flight
+    /// batches complete.
     pub fn run(&self) -> std::io::Result<()> {
-        let mut connections = Vec::new();
+        // Each live connection's thread, with a handle on its socket for
+        // the read-half shutdown.
+        let mut connections: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
         while !self.shared.stop.load(Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    let handle = std::thread::Builder::new()
-                        .name("svc-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(&shared, stream);
-                        })
-                        .expect("spawning a connection thread");
-                    connections.push(handle);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
                 }
                 Err(e) => return Err(e),
+            };
+            // The stop's own wake-up connection (or a client racing it).
+            if self.shared.stop.load(Relaxed) {
+                break;
             }
-            connections.retain(|h| !h.is_finished());
+            let Ok(socket) = stream.try_clone() else {
+                continue;
+            };
+            let shared = Arc::clone(&self.shared);
+            let handle = std::thread::Builder::new()
+                .name("svc-conn".into())
+                .spawn(move || {
+                    let _ = serve_connection(&shared, &stream);
+                    // The accept loop's handle keeps the socket open:
+                    // close the connection for the client explicitly.
+                    let _ = stream.shutdown(Shutdown::Both);
+                })
+                .expect("spawning a connection thread");
+            connections.retain(|(h, _)| !h.is_finished());
+            connections.push((handle, socket));
         }
-        for handle in connections {
+        for (_, socket) in &connections {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        for (handle, _) in connections {
             let _ = handle.join();
         }
         Ok(())
@@ -160,15 +209,53 @@ impl Server {
 
     /// Ask the accept loop to stop (same effect as a client `shutdown`).
     pub fn stop(&self) {
-        self.shared.stop.store(true, Relaxed);
+        request_stop(&self.shared);
     }
+}
+
+/// Raise the stop flag and wake the blocking accept with a connection of
+/// our own; the loop sees the flag and drops it.
+fn request_stop(shared: &Shared) {
+    shared.stop.store(true, Relaxed);
+    let _ = TcpStream::connect(shared.wake_addr);
+}
+
+/// One request frame read off a connection.
+enum Frame {
+    /// A line (newline stripped), or the unterminated tail before EOF.
+    Line(Vec<u8>),
+    /// More than [`MAX_FRAME_BYTES`] bytes without a newline.
+    TooLong,
+    /// The client closed its side (or the server shut the read half).
+    End,
+}
+
+/// Read one frame, never buffering more than `MAX_FRAME_BYTES + 1` bytes.
+fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Frame> {
+    let mut line = Vec::new();
+    let n = reader
+        .take(MAX_FRAME_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if n == 0 {
+        return Ok(Frame::End);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_FRAME_BYTES {
+        return Ok(Frame::TooLong);
+    }
+    Ok(Frame::Line(line))
 }
 
 /// Serve one client connection: hello, then one request line per op until
 /// the client closes (or asks for shutdown).
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
+fn serve_connection(shared: &Arc<Shared>, stream: &TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
-    let reader = BufReader::new(stream.try_clone()?);
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let mut reader = BufReader::new(stream);
     let mut out = BufWriter::new(stream);
     {
         let _hp = hostprof::span("svc.accept");
@@ -182,12 +269,37 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
             ]),
         )?;
     }
-    for line in reader.lines() {
-        let line = line?;
+    loop {
+        let line = match read_frame(&mut reader)? {
+            Frame::Line(bytes) => bytes,
+            Frame::TooLong => {
+                // The rest of the frame is unread, so the stream cannot be
+                // resynchronised: answer, then close.
+                let message = format!("request frame exceeds {MAX_FRAME_BYTES} bytes");
+                let sent = emit(&mut out, error_event(&message));
+                record(
+                    shared,
+                    TraceCtx::fresh(),
+                    "bad",
+                    false,
+                    message,
+                    Instant::now(),
+                );
+                return sent;
+            }
+            Frame::End => break,
+        };
+        let t0 = Instant::now();
+        let Ok(line) = String::from_utf8(line) else {
+            let message = "request frame is not UTF-8".to_string();
+            let sent = emit(&mut out, error_event(&message));
+            record(shared, TraceCtx::fresh(), "bad", false, message, t0);
+            sent?;
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let t0 = Instant::now();
         let request = match Value::parse(&line) {
             Ok(v) => v,
             Err(e) => {
@@ -247,7 +359,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
                 sent?;
             }
             Some("shutdown") => {
-                shared.stop.store(true, Relaxed);
+                request_stop(shared);
                 let sent = emit(&mut out, Value::object(vec![("event", "bye".into())]));
                 record(shared, trace, "shutdown", true, String::new(), t0);
                 sent?;
@@ -294,7 +406,7 @@ enum Resolution {
 
 fn handle_run(
     shared: &Arc<Shared>,
-    out: &mut BufWriter<TcpStream>,
+    out: &mut BufWriter<&TcpStream>,
     request: &Value,
     trace: &TraceCtx,
 ) -> std::io::Result<(bool, String)> {
@@ -592,7 +704,7 @@ fn error_event(message: &str) -> Value {
 }
 
 /// Write one JSONL event and flush it out immediately (streaming).
-fn emit(out: &mut BufWriter<TcpStream>, event: Value) -> std::io::Result<()> {
+fn emit(out: &mut BufWriter<&TcpStream>, event: Value) -> std::io::Result<()> {
     writeln!(out, "{event}")?;
     out.flush()
 }

@@ -5,12 +5,16 @@
 //! *typed* error (an `error` event on the wire, or a typed `Err` on the
 //! client) and never a hang or a silent close; and the telemetry surface
 //! (`stats.runs_failed`, the `metrics` and `log` ops) sees what happened.
+//! Connection handling is bounded too: a stop never waits on a client, a
+//! new connection is answered at once, and an oversize frame is refused.
 
 use obs::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::sync::Arc;
-use svc::server::{Compute, Server};
+use std::time::{Duration, Instant};
+use svc::server::{Compute, Server, MAX_FRAME_BYTES};
 use svc::{Cache, CellSpec, Client};
 
 fn spec(bench: &str, seed: u64) -> CellSpec {
@@ -27,9 +31,31 @@ fn spec(bench: &str, seed: u64) -> CellSpec {
     }
 }
 
+/// How long a stopped server may take to return from `run`.
+const STOP_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Wait for `join` to finish, failing (instead of hanging the test run)
+/// when it takes longer than [`STOP_TIMEOUT`].
+fn join_within_timeout(join: std::thread::JoinHandle<()>, what: &str) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(join.join().is_ok()));
+    let ok = rx
+        .recv_timeout(STOP_TIMEOUT)
+        .unwrap_or_else(|_| panic!("{what}: server still running after {STOP_TIMEOUT:?}"));
+    assert!(ok, "{what}: server thread panicked");
+}
+
 /// Start a server whose compute panics for bench `boom`, refuses bench
 /// `refuse`, and answers everything else.
 fn start(tag: &str) -> (Client, std::thread::JoinHandle<()>) {
+    let server = bind(tag);
+    let addr = server.local_addr().unwrap().to_string();
+    let join = std::thread::spawn(move || server.run().unwrap());
+    (Client::new(&addr, "test-code"), join)
+}
+
+/// Bind (but do not run) a server with the test compute function.
+fn bind(tag: &str) -> Server {
     let compute: Compute = Arc::new(|spec: &CellSpec| match spec.bench.as_str() {
         "boom" => panic!("cell exploded on purpose"),
         "refuse" => Err("spec refused on purpose".to_string()),
@@ -38,10 +64,7 @@ fn start(tag: &str) -> (Client, std::thread::JoinHandle<()>) {
     let root =
         std::env::temp_dir().join(format!("ddnomp-proto-errors-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let server = Server::bind("127.0.0.1:0", 2, Cache::new(root), compute, "test-code").unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let join = std::thread::spawn(move || server.run().unwrap());
-    (Client::new(&addr, "test-code"), join)
+    Server::bind("127.0.0.1:0", 2, Cache::new(root), compute, "test-code").unwrap()
 }
 
 /// Open a raw protocol connection: consume the hello, return the pair.
@@ -74,6 +97,14 @@ fn malformed_json_yields_typed_error_and_keeps_the_connection() {
             .as_str()
             .unwrap()
             .contains("bad request JSON"),
+        "{event}"
+    );
+    // A frame that is not UTF-8 is a bad request too, not a hang-up.
+    stream.write_all(b"{\"op\":\"\xff\"}\n").unwrap();
+    let event = read_event(&mut reader);
+    assert_eq!(event["event"].as_str(), Some("error"));
+    assert!(
+        event["message"].as_str().unwrap().contains("UTF-8"),
         "{event}"
     );
     // Same connection still serves well-formed requests.
@@ -210,4 +241,78 @@ fn metrics_and_log_ops_see_the_request_history() {
     assert_eq!(tid.len(), 16, "trace id propagated from the client: {tid}");
     client.shutdown().unwrap();
     join.join().unwrap();
+}
+
+#[test]
+fn stop_without_clients_returns_promptly() {
+    let server = Arc::new(bind("stop"));
+    let running = Arc::clone(&server);
+    let join = std::thread::spawn(move || running.run().unwrap());
+    // Let `run` reach its blocking accept before stopping it.
+    std::thread::sleep(Duration::from_millis(50));
+    server.stop();
+    join_within_timeout(join, "stop()");
+}
+
+#[test]
+fn a_new_connection_is_answered_at_once() {
+    let (client, join) = start("connect");
+    let mut samples: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            drop(raw_connect(client.addr()));
+            t.elapsed()
+        })
+        .collect();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "connect+hello median {median:?} over {} connections",
+        samples.len()
+    );
+    client.shutdown().unwrap();
+    join_within_timeout(join, "shutdown");
+}
+
+#[test]
+fn shutdown_does_not_wait_on_an_idle_connection() {
+    let (client, join) = start("idle");
+    // Held open, silent, across the shutdown: the server must stop
+    // reading it rather than wait for the client to hang up.
+    let (mut reader, _stream) = raw_connect(client.addr());
+    client.shutdown().unwrap();
+    join_within_timeout(join, "shutdown with an idle client");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+}
+
+#[test]
+fn oversize_frame_is_refused_and_the_server_keeps_serving() {
+    let (client, join) = start("oversize");
+    {
+        let (mut reader, mut stream) = raw_connect(client.addr());
+        stream.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]).unwrap();
+        stream.flush().unwrap();
+        let event = read_event(&mut reader);
+        assert_eq!(event["event"].as_str(), Some("error"));
+        assert!(
+            event["message"].as_str().unwrap().contains("exceeds"),
+            "{event}"
+        );
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "connection closed");
+    }
+    assert!(client.ping(), "a new connection still answers");
+    // A frame of exactly the cap is read (and parsed) as usual.
+    let (mut reader, mut stream) = raw_connect(client.addr());
+    let ping = br#"{"op":"ping"}"#;
+    let mut frame = vec![b' '; MAX_FRAME_BYTES];
+    frame[..ping.len()].copy_from_slice(ping);
+    frame.push(b'\n');
+    stream.write_all(&frame).unwrap();
+    assert_eq!(read_event(&mut reader)["event"].as_str(), Some("pong"));
+    drop((reader, stream));
+    client.shutdown().unwrap();
+    join_within_timeout(join, "shutdown");
 }
